@@ -37,7 +37,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use taxo_core::json::{self, ObjWriter, Value};
 use taxo_core::TaxoError;
 use taxo_obs::{counter, gauge};
@@ -66,6 +66,11 @@ pub struct RouterConfig {
     /// Whether a client `shutdown` is forwarded to every shard before
     /// the router itself shuts down.
     pub forward_shutdown: bool,
+    /// Close a client connection after this long without a single
+    /// received byte, so silent clients cannot pin every worker forever
+    /// (the shard's `ServeConfig::idle_timeout` rule). Counted as
+    /// `serve.router.conn.idle_closed`.
+    pub idle_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -78,6 +83,7 @@ impl Default for RouterConfig {
             shard_retries: 3,
             upstream_read_timeout: Duration::from_secs(5),
             forward_shutdown: true,
+            idle_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -93,6 +99,12 @@ impl RouterConfig {
             if v == 0 {
                 return Err(TaxoError::invalid_config(name, "must be at least 1"));
             }
+        }
+        if self.idle_timeout.is_zero() {
+            return Err(TaxoError::invalid_config(
+                "router.idle_timeout",
+                "must be non-zero",
+            ));
         }
         Ok(())
     }
@@ -355,41 +367,63 @@ fn worker_loop(shared: &RouterShared) {
     }
 }
 
-/// Serves one client connection. All complete lines buffered at each
-/// wake-up are handled as one burst, so a pipelined client frame fans
-/// out to the shards as pipelined per-shard frames.
+/// Serves one client connection until EOF, error, idle expiry, or
+/// shutdown. All complete lines buffered at each wake-up are handled as
+/// one burst, so a pipelined client frame fans out to the shards as
+/// pipelined per-shard frames. Frames are reassembled by the shard's
+/// [`protocol::FrameDecoder`], so an unterminated line is capped at
+/// [`protocol::MAX_FRAME`] bytes exactly as on a shard.
 fn handle_conn(mut stream: TcpStream, shared: &RouterShared, ups: &mut [Upstream]) {
+    // The short poll-ish timeout keeps the worker responsive to
+    // shutdown; the idle clock below is what actually bounds how long a
+    // silent client may pin this worker.
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .is_err()
     {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
+    let mut dec = protocol::FrameDecoder::new();
     let mut chunk = [0u8; 4096];
+    let mut idle_since = Instant::now();
     loop {
         let mut lines: Vec<String> = Vec::new();
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            let line = line.trim_end_matches(['\n', '\r']);
-            if !line.is_empty() {
-                lines.push(line.to_owned());
+        let overlong = loop {
+            match dec.next_frame() {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
             }
-        }
+        };
         if !lines.is_empty() {
             let (out, close) = handle_burst(&lines, shared, ups);
             if stream.write_all(&out).is_err() || close {
                 return;
             }
         }
+        // Unterminated overlong line: refuse and drop the connection
+        // (the decoder cannot resynchronize).
+        if let Some(e) = overlong {
+            counter!("serve.router.errors.bad_request").inc();
+            let line = protocol::error_response(None, "bad_request", Some(&e.to_string()));
+            let _ = stream.write_all(format!("{line}\n").as_bytes());
+            return;
+        }
         if shared.is_shutdown() {
             return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Ok(n) => {
+                idle_since = Instant::now();
+                dec.push(&chunk[..n]);
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if idle_since.elapsed() >= shared.cfg.idle_timeout {
+                    counter!("serve.router.conn.idle_closed").inc();
+                    return;
+                }
+            }
             Err(_) => return,
         }
     }

@@ -5,18 +5,20 @@
 //! drains **every queued job at once** (up to `batch_max`) and runs the
 //! layered fast path over the coalesced pairs:
 //!
-//! 1. **Dedupe** — identical `(snapshot, query, item)` pairs across the
-//!    batch collapse to one unit of work; the single result fans back
-//!    out to every requester.
+//! 1. **Dedupe** — identical `(generation, tier, query, item)` pairs
+//!    across the batch collapse to one unit of work; the single result
+//!    fans back out to every requester.
 //! 2. **Cache** — each unique pair probes the sharded LRU
 //!    [`crate::cache::ScoreCache`]; hits skip scoring entirely.
-//! 3. **Batched scoring** — the misses of each snapshot run through
+//! 3. **Batched scoring** — the misses of each generation run through
 //!    [`taxo_expand::BatchScorer`] (length-bucketed encoder forwards,
 //!    one MLP GEMM per bucket, warm arenas from a [`ScratchPool`]),
 //!    chunked across [`taxo_nn::parallel::par_map`] workers, with
 //!    structural features copied from the snapshot's precomputed table.
 //!
-//! Each job is scored against the snapshot `Arc` it arrived with, so
+//! A score depends only on the detector generation and the pair, so jobs
+//! of two snapshot versions built on one model share their work; each
+//! job is still ranked against the snapshot `Arc` it arrived with, so
 //! coalescing never mixes taxonomy versions within a response.
 //!
 //! Queues are bounded and never block producers: [`BoundedQueue::try_push`]
@@ -250,7 +252,7 @@ pub struct ScoreJob {
 /// scoring of the misses — then routes each job's scores back on its
 /// reply channel.
 ///
-/// Scoring is pure given a snapshot and the fast path is bitwise
+/// Scoring is pure given a generation and the fast path is bitwise
 /// identical to the scalar one, so every score is bit-identical to
 /// scoring the same pair alone on one thread — batching, deduplication,
 /// caching, and `TAXO_THREADS` are all invisible in the responses.
@@ -265,16 +267,17 @@ pub fn score_batch(jobs: Vec<ScoreJob>, pool: &ScratchPool, cache: &ScoreCache) 
     let total: usize = jobs.iter().map(|j| j.items.len()).sum();
     histogram!("serve.batch.pairs").observe(total as u64);
 
-    // Dedupe identical (snapshot, query, item) pairs across the whole
-    // batch: each unique pair is probed and scored exactly once, and the
-    // result fans back out to every job that asked for it. `uniq_jobs`
-    // remembers a job holding the key's snapshot `Arc`.
+    // Dedupe identical (generation, tier, query, item) pairs across the
+    // whole batch: each unique pair is probed and scored exactly once,
+    // and the result fans back out to every job that asked for it.
+    // `uniq_jobs` remembers a job holding a snapshot of the key's
+    // generation.
     let mut index: HashMap<ScoreKey, usize> = HashMap::with_capacity(total);
     let mut uniq_keys: Vec<ScoreKey> = Vec::with_capacity(total);
     let mut uniq_jobs: Vec<usize> = Vec::with_capacity(total);
     for (j, job) in jobs.iter().enumerate() {
         for &item in &job.items {
-            let key = (job.snapshot.version, job.tier, job.query, item);
+            let key = (job.snapshot.generation, job.tier, job.query, item);
             index.entry(key).or_insert_with(|| {
                 uniq_keys.push(key);
                 uniq_jobs.push(j);
@@ -294,17 +297,17 @@ pub fn score_batch(jobs: Vec<ScoreJob>, pool: &ScratchPool, cache: &ScoreCache) 
         }
     }
 
-    // Score the misses, grouped by (snapshot, tier) — a batch usually
-    // spans one version, at most two around a swap, times the tiers in
-    // play. Sorting keeps each group contiguous; within a group order is
-    // irrelevant to the bits.
+    // Score the misses, grouped by (generation, tier) — a batch usually
+    // spans one generation, at most two around a promotion, times the
+    // tiers in play. Sorting keeps each group contiguous; within a group
+    // order is irrelevant to the bits.
     missed.sort_unstable_by_key(|&u| (uniq_keys[u].0, uniq_keys[u].1));
     let mut start = 0;
     while start < missed.len() {
-        let (version, tier) = (uniq_keys[missed[start]].0, uniq_keys[missed[start]].1);
+        let (generation, tier) = (uniq_keys[missed[start]].0, uniq_keys[missed[start]].1);
         let mut end = start + 1;
         while end < missed.len()
-            && uniq_keys[missed[end]].0 == version
+            && uniq_keys[missed[end]].0 == generation
             && uniq_keys[missed[end]].1 == tier
         {
             end += 1;
@@ -327,7 +330,7 @@ pub fn score_batch(jobs: Vec<ScoreJob>, pool: &ScratchPool, cache: &ScoreCache) 
         let out: Vec<f32> = job
             .items
             .iter()
-            .map(|&item| scores[index[&(job.snapshot.version, job.tier, job.query, item)]])
+            .map(|&item| scores[index[&(job.snapshot.generation, job.tier, job.query, item)]])
             .collect();
         // A dead receiver means the connection worker gave up (client
         // disconnected mid-request); nothing to do.
@@ -335,10 +338,12 @@ pub fn score_batch(jobs: Vec<ScoreJob>, pool: &ScratchPool, cache: &ScoreCache) 
     }
 }
 
-/// Batch-scores uncached pairs of one snapshot: chunks spread across
-/// `par_map` workers, each reusing a warm [`taxo_expand::BatchScorer`]
-/// from `pool`, with structural feature rows copied from the snapshot's
-/// build-time table (identical bytes to recomputing them).
+/// Batch-scores uncached pairs of one generation through one of its
+/// snapshots: chunks spread across `par_map` workers, each reusing a
+/// warm [`taxo_expand::BatchScorer`] from `pool`, with structural
+/// feature rows copied from the snapshot's build-time table (identical
+/// bytes to recomputing them, which is what a pair of another version's
+/// candidate set gets).
 fn score_misses(
     snap: &ServeSnapshot,
     tier: Tier,
@@ -466,6 +471,50 @@ mod tests {
         let (tx_c, rx_c) = mpsc::channel();
         score_batch(vec![job(tx_c)], &pool, &cache);
         assert_eq!(bits(rx_c.recv().unwrap()), reference);
+    }
+
+    #[test]
+    fn versions_of_one_generation_share_their_scores() {
+        let (v0, items) = tiny_snapshot();
+        let model = crate::snapshot::ServeModel {
+            generation: v0.generation,
+            vocab: Arc::clone(&v0.vocab),
+            detector: Arc::clone(&v0.detector),
+            quant: Arc::clone(&v0.quant),
+        };
+        let v1 = Arc::new(ServeSnapshot::build_for(
+            1,
+            &model,
+            v0.taxonomy.clone(),
+            &[],
+            0,
+        ));
+        let query = v0.vocab.get("snack food").unwrap();
+        let pool = ScratchPool::new();
+        let cache = ScoreCache::new(1024);
+        let job = |snap: &Arc<ServeSnapshot>, tx: mpsc::Sender<Vec<f32>>| ScoreJob {
+            snapshot: Arc::clone(snap),
+            tier: Tier::F32,
+            query,
+            items: items.clone(),
+            reply: ScoreSink::Channel(tx),
+        };
+        let (tx_a, rx_a) = mpsc::channel();
+        let (tx_b, rx_b) = mpsc::channel();
+        score_batch(vec![job(&v0, tx_a), job(&v1, tx_b)], &pool, &cache);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let a = bits(rx_a.recv().unwrap());
+        // Dedupe keys on the generation, so each pair was scored once for
+        // both versions, and both replies carry the same bits.
+        assert_eq!(a, bits(rx_b.recv().unwrap()));
+        assert_eq!(
+            cache.len(),
+            items.len(),
+            "one entry per pair, not per version"
+        );
+        let mut cached = Vec::new();
+        assert!(cache.get_all(v1.generation, Tier::F32, query, &items, &mut cached));
+        assert_eq!(bits(cached), a);
     }
 
     #[test]

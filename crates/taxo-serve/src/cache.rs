@@ -1,35 +1,85 @@
-//! Sharded LRU cache of served scores.
+//! Sharded LRU caches of served scores and rendered responses.
 //!
-//! Keys are `(snapshot_version, query, item)` — the full identity of a
-//! served score, since scoring is pure given a snapshot. Versioned keys
-//! make invalidation free: a snapshot swap simply starts missing under
-//! the new version, and entries of retired versions age out through
-//! normal LRU pressure. Cached values are **bit-identical** to
-//! recomputing (the fast path guarantees one canonical `f32` per pair
-//! per snapshot), so a hit can never change a response, only its cost.
+//! **Scores** are keyed `(generation, tier, query, item)`. A served
+//! score is a pure function of the detector and the pair: the vocabulary
+//! is fixed for the life of the process, and the structural features
+//! read only the detector's frozen embeddings, never the live taxonomy.
+//! The detector changes only on promotion, and every promotion starts a
+//! new [`crate::snapshot::ServeSnapshot::generation`] (a value never
+//! reused within a process), so an ingest's snapshot swap keeps every
+//! cached score valid while a promotion simply starts missing under its
+//! new generation; entries of retired generations age out through normal
+//! LRU pressure. The tier keeps the two weight sets apart: an int8 score
+//! is only ever served to an int8 request. Cached values are
+//! **bit-identical** to recomputing (one canonical `f32` per pair per
+//! generation), so a hit can never change a response, only its cost.
 //!
-//! The map is sharded so connection workers can probe concurrently
+//! **Rendered tails** live in a [`ResponseCache`] owned by the snapshot
+//! they render (keyed `(tier, query, k)`): a swap starts the new version
+//! with an empty one, and a retired version's tails are freed together
+//! with its last `Arc`.
+//!
+//! The maps are sharded so connection workers can probe concurrently
 //! (the all-hit request fast path) while the scorer thread fills misses;
 //! each shard is an independent `Mutex<HashMap + intrusive LRU list>`
 //! with slab-allocated nodes, so steady-state hits and evictions touch
-//! no allocator at all.
+//! no allocator at all. Capacities are exact: at most `capacity` entries
+//! are ever resident, spread over `min(16, capacity)` shards, and
+//! capacity 0 turns a cache off (every probe misses, inserts are
+//! dropped).
 //!
 //! Observability: `serve.cache.hits` / `serve.cache.misses` count probe
 //! outcomes, `serve.cache.evictions` counts LRU displacements, and the
 //! `serve.cache.entries` gauge tracks residency.
 
 use crate::protocol::Tier;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taxo_core::ConceptId;
 use taxo_obs::{counter, gauge};
 
-/// Cache key: one scored pair under one published snapshot and tier.
-/// Tiered keys keep the two weight sets from ever cross-contaminating:
-/// an int8 score can only ever be served to an int8 request.
+/// Score-cache key: one scored pair under one detector generation and
+/// tier, `(generation, tier, query, item)`.
 pub type ScoreKey = (u64, Tier, ConceptId, ConceptId);
+
+/// Key of a rendered tail in a snapshot's own cache: `(tier, query, k)`.
+pub type TailKey = (Tier, ConceptId, u64);
+
+/// Key of a rendered tail in a cache shared across snapshot versions:
+/// `(version, tier, query, k)`. The server keeps one [`TailKey`] cache
+/// per snapshot instead; this shape serves callers that replay a single
+/// version outside a server (the `servebench` layer replay).
+pub type ResponseKey = (u64, Tier, ConceptId, u64);
 
 const SHARDS: usize = 16;
 const NIL: u32 = u32::MAX;
+
+/// A cache key with a deterministic shard mix — a fibonacci-style hash
+/// of the key's fields, so shard load does not depend on `HashMap`'s
+/// per-process seed.
+pub trait ShardKey: std::hash::Hash + Eq + Copy {
+    fn mix(&self) -> u64;
+}
+
+impl ShardKey for ScoreKey {
+    fn mix(&self) -> u64 {
+        (self.0 ^ ((self.1 as u64) << 48) ^ (u64::from(self.2 .0) << 32) ^ u64::from(self.3 .0))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
+impl ShardKey for TailKey {
+    fn mix(&self) -> u64 {
+        (((self.0 as u64) << 48) ^ (u64::from(self.1 .0) << 16) ^ self.2)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
+impl ShardKey for ResponseKey {
+    fn mix(&self) -> u64 {
+        (self.0 ^ ((self.1 as u64) << 48) ^ (u64::from(self.2 .0) << 16) ^ self.3)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
 
 struct Node<K, V> {
     key: K,
@@ -47,15 +97,17 @@ struct Shard<K, V> {
     nodes: Vec<Node<K, V>>,
     head: u32,
     tail: u32,
+    cap: usize,
 }
 
 impl<K: std::hash::Hash + Eq + Copy, V: Clone> Shard<K, V> {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         Shard {
             map: std::collections::HashMap::new(),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
+            cap,
         }
     }
 
@@ -69,15 +121,14 @@ impl<K: std::hash::Hash + Eq + Copy, V: Clone> Shard<K, V> {
         }
     }
 
-    /// Inserts or refreshes; returns `true` when an existing entry was
-    /// displaced to make room.
-    fn insert(&mut self, key: K, value: V, cap: usize) -> InsertOutcome {
+    /// Inserts or refreshes, recycling the LRU tail when full.
+    fn insert(&mut self, key: K, value: V) -> InsertOutcome {
         if let Some(idx) = self.map.get(&key).copied() {
             self.nodes[idx as usize].value = value;
             self.touch(idx);
             return InsertOutcome::Refreshed;
         }
-        if self.nodes.len() < cap {
+        if self.nodes.len() < self.cap {
             let idx = self.nodes.len() as u32;
             self.nodes.push(Node {
                 key,
@@ -141,62 +192,92 @@ impl<K: std::hash::Hash + Eq + Copy, V: Clone> Shard<K, V> {
     }
 }
 
-/// What [`Shard::insert`] did with the entry.
+/// What [`Shard::insert`] did with the entry (`Off` — the cache has
+/// capacity 0 and dropped it).
 enum InsertOutcome {
     Refreshed,
     Grew,
     Evicted,
+    Off,
 }
 
-/// The process-wide served-score cache (one per server). See the module
-/// docs for the keying, invalidation, and determinism story.
-pub struct ScoreCache {
-    shards: Vec<std::sync::Mutex<Shard<ScoreKey, f32>>>,
-    /// Per-shard capacity (total capacity split evenly, rounded up).
-    shard_cap: usize,
+/// The shard array both caches are built on.
+struct ShardedLru<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
 }
 
-impl std::fmt::Debug for ScoreCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScoreCache")
-            .field("shards", &self.shards.len())
-            .field("shard_cap", &self.shard_cap)
-            .finish()
-    }
-}
-
-impl ScoreCache {
-    /// A cache holding at least `capacity` entries overall (rounded up to
-    /// a multiple of the shard count).
-    pub fn new(capacity: usize) -> Self {
-        ScoreCache {
-            shards: (0..SHARDS)
-                .map(|_| std::sync::Mutex::new(Shard::new()))
+impl<K: ShardKey, V: Clone> ShardedLru<K, V> {
+    /// Exactly `capacity` slots over `min(16, capacity)` shards, the
+    /// remainder spread one each over the first shards; no shards at
+    /// all for capacity 0.
+    fn new(capacity: usize) -> Self {
+        let n = SHARDS.min(capacity);
+        ShardedLru {
+            shards: (0..n)
+                .map(|i| Mutex::new(Shard::new(capacity / n + usize::from(i < capacity % n))))
                 .collect(),
-            shard_cap: capacity.div_ceil(SHARDS).max(1),
         }
     }
 
-    /// Deterministic shard choice — a fibonacci-style mix of the key, so
-    /// shard load does not depend on `HashMap`'s per-process seed.
-    fn shard(&self, key: &ScoreKey) -> &std::sync::Mutex<Shard<ScoreKey, f32>> {
-        let mixed =
-            (key.0 ^ ((key.1 as u64) << 48) ^ (u64::from(key.2 .0) << 32) ^ u64::from(key.3 .0))
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(mixed >> 56) as usize % SHARDS]
+    fn shard(&self, key: &K) -> Option<&Mutex<Shard<K, V>>> {
+        match self.shards.len() {
+            0 => None,
+            n => Some(&self.shards[(key.mix() >> 32) as usize % n]),
+        }
     }
 
-    fn lookup(&self, key: &ScoreKey) -> Option<f32> {
-        self.shard(key)
+    fn lookup(&self, key: &K) -> Option<V> {
+        self.shard(key)?
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .lookup(key)
     }
 
+    fn insert(&self, key: K, value: V) -> InsertOutcome {
+        match self.shard(&key) {
+            Some(shard) => shard
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(key, value),
+            None => InsertOutcome::Off,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .sum()
+    }
+}
+
+impl<K, V> std::fmt::Debug for ShardedLru<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedLru")
+            .field("shards", &self.shards.len())
+            .finish()
+    }
+}
+
+/// The process-wide served-score cache (one per server). See the module
+/// docs for the keying, invalidation, and determinism story.
+#[derive(Debug)]
+pub struct ScoreCache {
+    lru: ShardedLru<ScoreKey, f32>,
+}
+
+impl ScoreCache {
+    /// A cache holding at most `capacity` entries overall (0 = off).
+    pub fn new(capacity: usize) -> Self {
+        ScoreCache {
+            lru: ShardedLru::new(capacity),
+        }
+    }
+
     /// Counted single-key probe: bumps `serve.cache.hits` or
     /// `serve.cache.misses` and the entry's recency.
     pub fn get(&self, key: &ScoreKey) -> Option<f32> {
-        let hit = self.lookup(key);
+        let hit = self.lru.lookup(key);
         match hit {
             Some(_) => counter!("serve.cache.hits").inc(),
             None => counter!("serve.cache.misses").inc(),
@@ -205,13 +286,13 @@ impl ScoreCache {
     }
 
     /// The request fast path: fills `scores` (cleared first) with the
-    /// cached score of every `(version, query, item)` and returns `true`
-    /// only if **all** items hit. Hits are counted only on full success;
-    /// a partial probe counts nothing — the batched scorer will re-probe
-    /// each pair and account for it there.
+    /// cached score of every `(generation, tier, query, item)` and
+    /// returns `true` only if **all** items hit. Hits are counted only
+    /// on full success; a partial probe counts nothing — the batched
+    /// scorer will re-probe each pair and account for it there.
     pub fn get_all(
         &self,
-        version: u64,
+        generation: u64,
         tier: Tier,
         query: ConceptId,
         items: &[ConceptId],
@@ -219,7 +300,7 @@ impl ScoreCache {
     ) -> bool {
         scores.clear();
         for &item in items {
-            match self.lookup(&(version, tier, query, item)) {
+            match self.lru.lookup(&(generation, tier, query, item)) {
                 Some(s) => scores.push(s),
                 None => return false,
             }
@@ -231,13 +312,8 @@ impl ScoreCache {
     /// Inserts (or refreshes) one scored pair, evicting the shard's
     /// least-recently-used entry when full.
     pub fn insert(&self, key: ScoreKey, score: f32) {
-        let outcome = self
-            .shard(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, score, self.shard_cap);
-        match outcome {
-            InsertOutcome::Refreshed => {}
+        match self.lru.insert(key, score) {
+            InsertOutcome::Refreshed | InsertOutcome::Off => {}
             InsertOutcome::Grew => gauge!("serve.cache.entries").add(1),
             InsertOutcome::Evicted => counter!("serve.cache.evictions").inc(),
         }
@@ -245,10 +321,7 @@ impl ScoreCache {
 
     /// Total resident entries (sums shard lengths; racy by nature).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -256,60 +329,35 @@ impl ScoreCache {
     }
 }
 
-/// Key of one cached rendered response: `(version, tier, query, k)`.
-pub type ResponseKey = (u64, Tier, ConceptId, u64);
-
-/// Sharded LRU of fully rendered `score` response tails.
+/// Sharded LRU of fully rendered `score` response tails, generic over
+/// its key: a snapshot owns a [`TailKey`] cache for its own version.
 ///
 /// Scoring is pure and ranking/rendering are deterministic, so one
-/// `(snapshot_version, tier, query, k)` always produces the same bytes
+/// `(tier, query, k)` of one snapshot always produces the same bytes
 /// after the request envelope. Caching that tail turns a repeat query
 /// into a hash probe plus one [`crate::protocol::splice_response`] —
 /// no eligibility scan, no score-cache probes, no ranking, and no float
-/// formatting on the hot path. Entries of retired snapshot versions age
-/// out under LRU pressure exactly like score-cache entries.
+/// formatting on the hot path.
 ///
 /// Observability: `serve.resp_cache.hits` / `serve.resp_cache.misses`
 /// count probe outcomes; `serve.resp_cache.evictions` counts LRU
 /// displacements.
-pub struct ResponseCache {
-    shards: Vec<std::sync::Mutex<Shard<ResponseKey, Arc<str>>>>,
-    shard_cap: usize,
+#[derive(Debug)]
+pub struct ResponseCache<K = ResponseKey> {
+    lru: ShardedLru<K, Arc<str>>,
 }
 
-impl std::fmt::Debug for ResponseCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResponseCache")
-            .field("shards", &self.shards.len())
-            .field("shard_cap", &self.shard_cap)
-            .finish()
-    }
-}
-
-impl ResponseCache {
-    /// A cache holding at least `capacity` rendered tails overall.
+impl<K: ShardKey> ResponseCache<K> {
+    /// A cache holding at most `capacity` rendered tails (0 = off).
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
-            shards: (0..SHARDS)
-                .map(|_| std::sync::Mutex::new(Shard::new()))
-                .collect(),
-            shard_cap: capacity.div_ceil(SHARDS).max(1),
+            lru: ShardedLru::new(capacity),
         }
     }
 
-    fn shard(&self, key: &ResponseKey) -> &std::sync::Mutex<Shard<ResponseKey, Arc<str>>> {
-        let mixed = (key.0 ^ ((key.1 as u64) << 48) ^ (u64::from(key.2 .0) << 16) ^ key.3)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(mixed >> 56) as usize % SHARDS]
-    }
-
     /// Counted probe for a rendered tail.
-    pub fn get(&self, key: &ResponseKey) -> Option<Arc<str>> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lookup(key);
+    pub fn get(&self, key: &K) -> Option<Arc<str>> {
+        let hit = self.lru.lookup(key);
         match hit {
             Some(_) => counter!("serve.resp_cache.hits").inc(),
             None => counter!("serve.resp_cache.misses").inc(),
@@ -318,15 +366,19 @@ impl ResponseCache {
     }
 
     /// Inserts (or refreshes) one rendered tail.
-    pub fn insert(&self, key: ResponseKey, tail: Arc<str>) {
-        let outcome = self
-            .shard(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, tail, self.shard_cap);
-        if matches!(outcome, InsertOutcome::Evicted) {
+    pub fn insert(&self, key: K, tail: Arc<str>) {
+        if matches!(self.lru.insert(key, tail), InsertOutcome::Evicted) {
             counter!("serve.resp_cache.evictions").inc();
         }
+    }
+
+    /// Total resident tails (racy by nature).
+    pub fn len(&self) -> usize {
+        self.lru.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -334,8 +386,8 @@ impl ResponseCache {
 mod tests {
     use super::*;
 
-    fn key(v: u64, q: u32, i: u32) -> ScoreKey {
-        (v, Tier::F32, ConceptId(q), ConceptId(i))
+    fn key(generation: u64, q: u32, i: u32) -> ScoreKey {
+        (generation, Tier::F32, ConceptId(q), ConceptId(i))
     }
 
     #[test]
@@ -344,7 +396,7 @@ mod tests {
         assert_eq!(c.get(&key(0, 1, 2)), None);
         c.insert(key(0, 1, 2), 0.25);
         assert_eq!(c.get(&key(0, 1, 2)), Some(0.25));
-        // Same pair under a newer snapshot is a distinct entry.
+        // Same pair under a newer detector generation is a distinct entry.
         assert_eq!(c.get(&key(1, 1, 2)), None);
         c.insert(key(0, 1, 2), 0.5);
         assert_eq!(c.get(&key(0, 1, 2)), Some(0.5));
@@ -352,42 +404,71 @@ mod tests {
     }
 
     #[test]
-    fn evicts_least_recently_used_per_shard() {
-        // Capacity 16 → shard_cap 1: any two keys landing in the same
-        // shard exercise recycle-the-tail.
-        let c = ScoreCache::new(16);
-        let (a, b) = (key(0, 0, 0), key(0, 0, 1));
-        // Find two keys sharing a shard (shard choice is deterministic).
-        let shared = std::ptr::eq(c.shard(&a), c.shard(&b));
-        c.insert(a, 1.0);
-        c.insert(b, 2.0);
-        if shared {
-            assert_eq!(c.get(&a), None, "a was the LRU tail");
-            assert_eq!(c.get(&b), Some(2.0));
-        } else {
-            assert_eq!(c.get(&a), Some(1.0));
-            assert_eq!(c.get(&b), Some(2.0));
+    fn capacity_is_exact_and_spread_over_shards() {
+        for cap in [0, 1, 5, 16, 17, 100] {
+            let c = ScoreCache::new(cap);
+            for i in 0..4096 {
+                c.insert(key(0, 0, i), 0.0);
+            }
+            assert_eq!(c.len(), cap, "a saturated cache holds exactly {cap}");
         }
+        let one = ScoreCache::new(1);
+        one.insert(key(0, 0, 0), 1.0);
+        one.insert(key(0, 0, 1), 2.0);
+        assert_eq!(one.len(), 1, "capacity 1 holds one entry");
+        assert_eq!(one.get(&key(0, 0, 0)), None, "the older entry was evicted");
+        assert_eq!(one.get(&key(0, 0, 1)), Some(2.0));
+    }
+
+    #[test]
+    fn capacity_zero_is_off() {
+        let c = ScoreCache::new(0);
+        c.insert(key(0, 1, 2), 0.5);
+        assert_eq!(c.get(&key(0, 1, 2)), None);
+        let mut scores = Vec::new();
+        assert!(!c.get_all(0, Tier::F32, ConceptId(1), &[ConceptId(2)], &mut scores));
+        assert!(c.is_empty());
+        let r: ResponseCache<TailKey> = ResponseCache::new(0);
+        r.insert((Tier::F32, ConceptId(1), 8), Arc::from("x"));
+        assert_eq!(r.get(&(Tier::F32, ConceptId(1), 8)), None);
     }
 
     #[test]
     fn lru_order_follows_touches() {
-        let c = ScoreCache::new(16); // shard_cap 1 forces eviction on collision
-        let mut in_shard = Vec::new();
+        // Capacity 16 → 16 shards of one slot: two keys landing in the
+        // same shard exercise recycle-the-tail.
+        let c = ScoreCache::new(16);
+        let same_shard = |a: &ScoreKey, b: &ScoreKey| {
+            std::ptr::eq(c.lru.shard(a).unwrap(), c.lru.shard(b).unwrap())
+        };
         let probe = key(0, 9, 9);
-        for i in 0..64 {
-            let k = key(0, 1, i);
-            if std::ptr::eq(c.shard(&k), c.shard(&probe)) {
-                in_shard.push(k);
-            }
-        }
-        if in_shard.len() < 2 {
-            return; // mixing sent everything elsewhere; nothing to assert
-        }
+        let in_shard: Vec<ScoreKey> = (0..256)
+            .map(|i| key(0, 1, i))
+            .filter(|k| same_shard(k, &probe))
+            .collect();
+        assert!(in_shard.len() >= 2, "256 keys must share a shard");
         c.insert(in_shard[0], 0.0);
         c.insert(in_shard[1], 1.0); // evicts [0]
         assert_eq!(c.get(&in_shard[0]), None);
         assert_eq!(c.get(&in_shard[1]), Some(1.0));
+
+        // Capacity 32 → two slots per shard: a touch saves the older
+        // entry and the untouched one is evicted instead.
+        let c = ScoreCache::new(32);
+        let probe = key(0, 9, 9);
+        let in_shard: Vec<ScoreKey> = (0..256)
+            .map(|i| key(0, 1, i))
+            .filter(|k| std::ptr::eq(c.lru.shard(k).unwrap(), c.lru.shard(&probe).unwrap()))
+            .collect();
+        assert!(in_shard.len() >= 3, "256 keys must put three in a shard");
+        let (a, b, d) = (in_shard[0], in_shard[1], in_shard[2]);
+        c.insert(a, 1.0);
+        c.insert(b, 2.0);
+        assert_eq!(c.get(&a), Some(1.0)); // a is now most recent
+        c.insert(d, 3.0); // evicts b
+        assert_eq!(c.get(&b), None);
+        assert_eq!(c.get(&a), Some(1.0));
+        assert_eq!(c.get(&d), Some(3.0));
     }
 
     #[test]
@@ -400,7 +481,7 @@ mod tests {
         c.insert(key(3, 0, 2), 0.2);
         assert!(c.get_all(3, Tier::F32, ConceptId(0), &items, &mut scores));
         assert_eq!(scores, vec![0.1, 0.2]);
-        // Wrong version misses even with both pairs resident.
+        // Another generation misses even with both pairs resident.
         assert!(!c.get_all(4, Tier::F32, ConceptId(0), &items, &mut scores));
     }
 
@@ -422,13 +503,22 @@ mod tests {
 
     #[test]
     fn response_cache_round_trips_and_separates_keys() {
-        let c = ResponseCache::new(64);
-        let k_f32: ResponseKey = (1, Tier::F32, ConceptId(3), 8);
-        let k_int8: ResponseKey = (1, Tier::Int8, ConceptId(3), 8);
+        let c: ResponseCache<TailKey> = ResponseCache::new(64);
+        let k_f32: TailKey = (Tier::F32, ConceptId(3), 8);
+        let k_int8: TailKey = (Tier::Int8, ConceptId(3), 8);
         assert_eq!(c.get(&k_f32), None);
         c.insert(k_f32, Arc::from("\"kind\":\"score\"}"));
         assert_eq!(c.get(&k_f32).as_deref(), Some("\"kind\":\"score\"}"));
         assert_eq!(c.get(&k_int8), None, "tier is part of the identity");
-        assert_eq!(c.get(&(2, Tier::F32, ConceptId(3), 8)), None, "version too");
+        assert_eq!(c.get(&(Tier::F32, ConceptId(3), 4)), None, "k too");
+        assert_eq!(c.len(), 1);
+
+        let shared: ResponseCache = ResponseCache::new(64);
+        shared.insert((1, Tier::F32, ConceptId(3), 8), Arc::from("a"));
+        assert_eq!(
+            shared.get(&(2, Tier::F32, ConceptId(3), 8)),
+            None,
+            "a cross-version cache keys the version too"
+        );
     }
 }

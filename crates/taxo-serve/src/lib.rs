@@ -13,9 +13,12 @@
 //! * **Micro-batching** ([`batch`]): concurrent `score` requests
 //!   coalesce into one deduplicated, batched scoring sweep over the
 //!   [`taxo_expand::BatchScorer`] fast path.
-//! * **Score caching** ([`cache`]): a sharded LRU keyed by
-//!   `(snapshot_version, query, item)`; fully cached requests are
-//!   answered on the connection worker without touching the scorer.
+//! * **Caching** ([`cache`]): a sharded score LRU keyed by
+//!   `(generation, tier, query, item)`, where the detector generation
+//!   changes only on promotion, so cached scores survive ingest swaps;
+//!   fully cached requests are answered on the connection worker without
+//!   touching the scorer. Rendered response tails are cached per
+//!   snapshot under `(tier, query, k)` and freed with it.
 //! * **Hot-swapped snapshots** ([`snapshot`]): an immutable
 //!   model+taxonomy [`ServeSnapshot`] behind a version-stamped store;
 //!   the ingest thread rebuilds and atomically publishes, readers
@@ -72,7 +75,7 @@ pub mod snapshot;
 pub use taxo_core::json;
 
 pub use batch::{BoundedQueue, PushError, ScoreJob, ScoreSink};
-pub use cache::{ResponseCache, ScoreCache, ScoreKey};
+pub use cache::{ResponseCache, ResponseKey, ScoreCache, ScoreKey, TailKey};
 pub use client::{candidate_key, expected_key, Client, ClientBuilder, Reply, RetryPolicy};
 pub use durable::{DurabilityConfig, FsyncPolicy, RecoveryReport};
 pub use protocol::{
@@ -83,4 +86,4 @@ pub use server::{
     ServerBuilder, ServerHandle, FAULT_PROMOTE,
 };
 pub use shadow::{ShadowSample, ShadowTap};
-pub use snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};
+pub use snapshot::{ScoredCandidate, ServeModel, ServeSnapshot, SnapshotReader, SnapshotStore};

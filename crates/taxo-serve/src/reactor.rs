@@ -679,9 +679,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
                 continue;
             };
             let response = match (completion.payload, req) {
-                (Payload::Score(scores), PendingReq::Score(ps)) => {
-                    render_score_reply(shared, &ps, &scores)
-                }
+                (Payload::Score(scores), PendingReq::Score(ps)) => render_score_reply(&ps, &scores),
                 (Payload::Ingest(reply), PendingReq::Ingest { id }) => {
                     render_ingest_reply(id, *reply)
                 }

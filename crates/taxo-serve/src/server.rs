@@ -29,11 +29,11 @@
 //! rebuilds the durable state.
 
 use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
-use crate::cache::{ResponseCache, ScoreCache};
+use crate::cache::ScoreCache;
 use crate::durable::{self, DurabilityConfig, FsyncPolicy, RecoveryReport};
 use crate::protocol::{self, IngestPhase, IngestRecord, IngestSummary, Request, Tier};
 use crate::shadow::{ShadowSample, ShadowTap};
-use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotStore};
+use crate::snapshot::{ServeModel, ServeSnapshot, SnapshotReader, SnapshotStore};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -42,9 +42,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use taxo_core::{TaxoError, Vocabulary};
-use taxo_expand::{
-    ExpanderState, ExpansionConfig, HypoDetector, IncrementalExpander, QuantizedDetector,
-};
+use taxo_expand::{ExpanderState, ExpansionConfig, HypoDetector, IncrementalExpander};
 use taxo_obs::{counter, gauge, histogram, span};
 use taxo_wal::{WalError, WalWriter};
 
@@ -98,7 +96,8 @@ impl std::str::FromStr for IoModel {
 }
 
 /// Server sizing knobs. The defaults suit the tiny demo pipeline; every
-/// field must be at least 1.
+/// count must be at least 1, except the two cache capacities, where 0
+/// turns the cache off.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Connection-worker pool size (each worker serves one connection at
@@ -117,14 +116,17 @@ pub struct ServeConfig {
     pub max_candidates: usize,
     /// Default `k` (returned candidates) when a request names none.
     pub default_k: usize,
-    /// Served-score LRU cache capacity in entries, keyed by
-    /// `(snapshot_version, tier, query, item)`. Entries of retired
-    /// snapshot versions age out under LRU pressure; size this to a few
-    /// times the working set of hot pairs.
+    /// Served-score LRU cache capacity in entries (0 = off), keyed by
+    /// `(generation, tier, query, item)`: entries stay valid across
+    /// ingest swaps, and those of a generation retired by a promotion
+    /// age out under LRU pressure. Size this to a few times the working
+    /// set of hot pairs.
     pub score_cache_cap: usize,
-    /// Rendered-response LRU capacity in entries, keyed by
-    /// `(snapshot_version, tier, query, k)` — repeat queries splice a
-    /// cached tail instead of re-ranking and re-rendering.
+    /// Rendered-response LRU capacity per snapshot in entries (0 = off),
+    /// keyed by `(tier, query, k)` — repeat queries splice a cached tail
+    /// instead of re-ranking and re-rendering. Each published snapshot
+    /// starts an empty one, and a retired version's tails are freed
+    /// with it.
     pub resp_cache_cap: usize,
     /// Tier answering `score` requests that name none.
     pub default_tier: Tier,
@@ -153,7 +155,7 @@ impl Default for ServeConfig {
             max_candidates: 16,
             default_k: 8,
             score_cache_cap: 65_536,
-            resp_cache_cap: 16_384,
+            resp_cache_cap: crate::snapshot::DEFAULT_RESP_CACHE_CAP,
             default_tier: Tier::F32,
             shadow_queue_cap: 1024,
             io_model: IoModel::Blocking,
@@ -176,8 +178,6 @@ impl ServeConfig {
             ("serve.conn_backlog", self.conn_backlog),
             ("serve.max_candidates", self.max_candidates),
             ("serve.default_k", self.default_k),
-            ("serve.score_cache_cap", self.score_cache_cap),
-            ("serve.resp_cache_cap", self.resp_cache_cap),
             ("serve.shadow_queue_cap", self.shadow_queue_cap),
             ("serve.reactor_threads", self.reactor_threads),
         ] {
@@ -340,9 +340,9 @@ pub(crate) struct Shared {
     pub(crate) store: Arc<SnapshotStore>,
     /// Served-score LRU: probed by connection workers (all-hit requests
     /// skip the scorer round trip entirely) and filled by the scorer.
+    /// Rendered responses are cached per snapshot
+    /// ([`ServeSnapshot::responses`]).
     cache: ScoreCache,
-    /// Rendered-response LRU: a hit answers the request with one splice.
-    resp: ResponseCache,
     score_queue: BoundedQueue<ScoreJob>,
     ingest_queue: BoundedQueue<IngestJob>,
     conn_queue: BoundedQueue<TcpStream>,
@@ -737,17 +737,16 @@ impl ServerBuilder {
         };
 
         // The detector changes only when a promotion swaps in a retrained
-        // one: until then, one Arc is shared by every snapshot the ingest
-        // thread publishes — and so is its int8 twin, quantized once here.
-        let detector = Arc::new(expander.detector().clone());
-        let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
-        let initial = ServeSnapshot::build_with_quant(
+        // one: until then, one model — detector, its int8 twin quantized
+        // once here, and its generation — is shared by every snapshot the
+        // ingest thread publishes.
+        let model = ServeModel::new(Arc::clone(&vocab), Arc::new(expander.detector().clone()));
+        let initial = ServeSnapshot::build_for(
             initial_version,
-            Arc::clone(&vocab),
-            Arc::clone(&detector),
-            Arc::clone(&quant),
+            &model,
             expander.taxonomy().clone(),
             &expander.candidate_pairs(),
+            cfg.resp_cache_cap,
         );
         // Reactor mode: create every reactor's epoll instance and wake
         // eventfd up front so kernel setup errors surface at bind time,
@@ -781,7 +780,6 @@ impl ServerBuilder {
             ),
             store: Arc::new(SnapshotStore::new(initial)),
             cache: ScoreCache::new(cfg.score_cache_cap),
-            resp: ResponseCache::new(cfg.resp_cache_cap),
             shutdown: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             batches: AtomicU64::new(expander.batches() as u64),
@@ -837,11 +835,10 @@ impl ServerBuilder {
         }
         {
             let shared = Arc::clone(&shared);
-            let vocab = Arc::clone(&vocab);
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-ingest".into())
-                    .spawn(move || ingest_loop(expander, detector, quant, &vocab, &shared, wal))?,
+                    .spawn(move || ingest_loop(expander, model, &shared, wal))?,
             );
         }
 
@@ -1133,7 +1130,7 @@ fn handle_line(line: &str, shared: &Shared, reader: &mut SnapshotReader) -> (Str
                 .take()
                 .expect("score dispatch created a channel sink");
             let response = match rx.recv() {
-                Ok(scores) => render_score_reply(shared, &ps, &scores),
+                Ok(scores) => render_score_reply(&ps, &scores),
                 // The scorer drains every accepted job before exiting, so
                 // a dead channel can only mean teardown raced us
                 // mid-drain.
@@ -1293,12 +1290,12 @@ fn prepare_score(
         });
     }
 
-    // Request fastest path: a previously rendered response for this
-    // exact (version, tier, query, k). Scoring is pure and rendering
+    // Request fastest path: a response this snapshot already rendered
+    // for the same (tier, query, k). Scoring is pure and rendering
     // deterministic, so splicing the cached tail under this request's
     // envelope is byte-identical to redoing the whole request.
-    let rkey = (snapshot.version, tier, query_id, k as u64);
-    if let Some(tail) = shared.resp.get(&rkey) {
+    let rkey = (tier, query_id, k as u64);
+    if let Some(tail) = snapshot.responses().get(&rkey) {
         return Ok(protocol::splice_response(id, &tail));
     }
 
@@ -1308,26 +1305,28 @@ fn prepare_score(
         let tail =
             protocol::score_response_tail(query, snapshot.version, tier, &snapshot.vocab, &[]);
         let response = protocol::splice_response(id, &tail);
-        shared.resp.insert(rkey, tail.into());
+        snapshot.responses().insert(rkey, tail.into());
         return Ok(response);
     }
 
-    // Request fast path: when every pair is cached under this snapshot
-    // and tier, answer on the worker thread — no queue, no scorer round
-    // trip. The cached scores are bit-identical to recomputing, so
-    // responses are indistinguishable from the slow path. The job never
-    // enters the accepted/completed ledger (it is never enqueued).
+    // Request fast path: when every pair is cached under this snapshot's
+    // generation and tier — scored under this version or any earlier
+    // one of the same model — answer on the worker thread: no queue, no
+    // scorer round trip. The cached scores are bit-identical to
+    // recomputing, so responses are indistinguishable from the slow
+    // path. The job never enters the accepted/completed ledger (it is
+    // never enqueued).
     let mut cached = Vec::new();
     if shared
         .cache
-        .get_all(snapshot.version, tier, query_id, &items, &mut cached)
+        .get_all(snapshot.generation, tier, query_id, &items, &mut cached)
     {
         counter!("serve.score.cached_requests").inc();
         let ranked = snapshot.rank(query_id, &items, &cached, k);
         let tail =
             protocol::score_response_tail(query, snapshot.version, tier, &snapshot.vocab, &ranked);
         let response = protocol::splice_response(id, &tail);
-        shared.resp.insert(rkey, tail.into());
+        snapshot.responses().insert(rkey, tail.into());
         return Ok(response);
     }
 
@@ -1375,7 +1374,7 @@ fn prepare_score(
 /// Ranks, renders, and caches one completed score. Shared by both I/O
 /// models so the rendered bytes — and the response-cache insert — are
 /// identical regardless of how the completion travelled back.
-pub(crate) fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f32]) -> String {
+pub(crate) fn render_score_reply(ps: &PendingScore, scores: &[f32]) -> String {
     let ranked = ps.snapshot.rank(ps.query_id, &ps.items, scores, ps.k);
     let tail = protocol::score_response_tail(
         &ps.query,
@@ -1385,8 +1384,9 @@ pub(crate) fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f
         &ranked,
     );
     let response = protocol::splice_response(ps.id, &tail);
-    let rkey = (ps.snapshot.version, ps.tier, ps.query_id, ps.k as u64);
-    shared.resp.insert(rkey, tail.into());
+    ps.snapshot
+        .responses()
+        .insert((ps.tier, ps.query_id, ps.k as u64), tail.into());
     response
 }
 
@@ -1583,14 +1583,16 @@ struct PendingPublish {
 /// The version ledger is thread-local (`ledger_version`), not re-read
 /// from the store: a prepared snapshot advances the expander past the
 /// published version, and the next version must follow the expander.
+/// So is the serving `model`: every rebuild shares it (and its score-
+/// cache generation) until a promotion replaces it with a new one.
 fn ingest_loop(
     mut expander: IncrementalExpander,
-    mut detector: Arc<HypoDetector>,
-    mut quant: Arc<QuantizedDetector>,
-    vocab: &Arc<Vocabulary>,
+    mut model: ServeModel,
     shared: &Shared,
     mut wal: Option<WalState>,
 ) {
+    let vocab = &Arc::clone(&model.vocab);
+    let resp_cap = shared.cfg.resp_cache_cap;
     let group_max = match wal.as_ref().map(|w| w.fsync) {
         Some(FsyncPolicy::Batch { max_ops, .. }) => max_ops.max(1),
         _ => 1,
@@ -1730,24 +1732,26 @@ fn ingest_loop(
                         return;
                     }
                     let _g = span!("serve.promote.apply");
-                    detector = promoted;
-                    quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+                    // A new model, so a new generation: no score cached
+                    // under the old detector can answer for this one.
+                    // Prepared promotions bump it too — the held snapshot
+                    // is the first of the new generation.
+                    model = ServeModel::new(Arc::clone(vocab), promoted);
                     // The expander re-anchors on the promoted detector:
                     // future ingest attachment decisions are made by the
                     // model that is actually serving.
                     expander = IncrementalExpander::restore(
-                        (*detector).clone(),
+                        (*model.detector).clone(),
                         expander.expansion_config().clone(),
                         expander.state(),
                     );
                     ledger_version = version;
-                    let next = Arc::new(ServeSnapshot::build_with_quant(
+                    let next = Arc::new(ServeSnapshot::build_for(
                         version,
-                        Arc::clone(vocab),
-                        Arc::clone(&detector),
-                        Arc::clone(&quant),
+                        &model,
                         expander.taxonomy().clone(),
                         &expander.candidate_pairs(),
+                        resp_cap,
                     ));
                     counter!("serve.ingest.applied").inc();
                     counter!("serve.promote.applied").inc();
@@ -1793,13 +1797,12 @@ fn ingest_loop(
 
             let next = {
                 let _g = span!("serve.ingest.rebuild");
-                Arc::new(ServeSnapshot::build_with_quant(
+                Arc::new(ServeSnapshot::build_for(
                     version,
-                    Arc::clone(vocab),
-                    Arc::clone(&detector),
-                    Arc::clone(&quant),
+                    &model,
                     expander.taxonomy().clone(),
                     &expander.candidate_pairs(),
+                    resp_cap,
                 ))
             };
             let summary = IngestSummary {

@@ -8,12 +8,19 @@
 //! keep the `Arc` they started with, so every response is internally
 //! consistent (entirely old state or entirely new state, never a mix).
 //!
+//! Each snapshot also owns the rendered-response cache of its version,
+//! so a retired version's tails are freed with its last `Arc`, and
+//! carries the **generation** of its [`ServeModel`]: scores depend only
+//! on the model and the pair, so every version built on one model
+//! shares its cached scores.
+//!
 //! Readers are wait-free in the steady state: each worker holds a
 //! [`SnapshotReader`] that caches the current `Arc` and revalidates it
 //! with a single atomic version load per request; the store's mutex is
 //! touched only on the request *after* a swap (and swaps are rare —
 //! one per ingest batch).
 
+use crate::cache::{ResponseCache, TailKey};
 use crate::protocol::Tier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +32,41 @@ use taxo_expand::{CandidatePair, HypoDetector, QuantizedDetector};
 /// int8-vs-f32 score divergence published on the
 /// `serve.quant.max_abs_divergence` gauge.
 const DIVERGENCE_SAMPLE: usize = 64;
+
+/// Rendered-tail capacity of snapshots built by [`ServeSnapshot::build`]
+/// (the server sizes its own from `ServeConfig::resp_cache_cap`).
+pub const DEFAULT_RESP_CACHE_CAP: usize = 16_384;
+
+/// Source of [`ServeModel::generation`]: never hands a value out twice
+/// within a process. Relaxed suffices: the read-modify-write alone makes
+/// each value unique, and the counter publishes no other data.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(0);
+
+/// What a served score is a pure function of, besides the pair: the
+/// vocabulary, the detector and its int8 twin. One model is shared by
+/// every snapshot the ingest thread builds until a promotion replaces
+/// it, and each model gets a fresh `generation` — the score-cache key
+/// that lets scores outlive snapshot versions. The fields stay
+/// crate-private so no caller can pair a generation with another model.
+#[derive(Debug, Clone)]
+pub struct ServeModel {
+    pub(crate) generation: u64,
+    pub(crate) vocab: Arc<Vocabulary>,
+    pub(crate) detector: Arc<HypoDetector>,
+    pub(crate) quant: Arc<QuantizedDetector>,
+}
+
+impl ServeModel {
+    /// Quantizes `detector` once and stamps a new generation.
+    pub fn new(vocab: Arc<Vocabulary>, detector: Arc<HypoDetector>) -> ServeModel {
+        ServeModel {
+            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
+            quant: Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector))),
+            vocab,
+            detector,
+        }
+    }
+}
 
 /// One scored attachment candidate of a `score` response, ranked.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,10 +84,13 @@ pub struct ScoredCandidate {
 pub struct ServeSnapshot {
     /// Monotonically increasing snapshot version (0 = initial).
     pub version: u64,
+    /// The [`ServeModel::generation`] this snapshot scores with — the
+    /// first component of every score-cache key.
+    pub generation: u64,
     pub vocab: Arc<Vocabulary>,
     pub detector: Arc<HypoDetector>,
-    /// The int8 serving tier: quantized once from `detector` (weights
-    /// never change after training) and shared across snapshots.
+    /// The int8 serving tier: quantized once from `detector` and shared
+    /// across the snapshots of one [`ServeModel`].
     pub quant: Arc<QuantizedDetector>,
     /// Largest |int8 − f32| score difference over a fixed sample of this
     /// snapshot's candidate pairs — the realized quantization divergence
@@ -63,6 +108,8 @@ pub struct ServeSnapshot {
     feat_index: HashMap<(ConceptId, ConceptId), usize>,
     feat_data: Vec<f32>,
     feat_dim: usize,
+    /// Rendered `score` tails of this version, keyed `(tier, query, k)`.
+    responses: ResponseCache<TailKey>,
 }
 
 impl ServeSnapshot {
@@ -74,6 +121,10 @@ impl ServeSnapshot {
     /// pair (the relational side needs no equivalent — concept
     /// tokenizations are cached inside the detector itself). Requests
     /// then copy precomputed rows instead of re-deriving them.
+    ///
+    /// Each call quantizes a fresh [`ServeModel`], so its scores share no
+    /// cache entries with any other snapshot; the server rebuilds through
+    /// [`ServeSnapshot::build_for`] instead.
     pub fn build(
         version: u64,
         vocab: Arc<Vocabulary>,
@@ -81,21 +132,32 @@ impl ServeSnapshot {
         taxonomy: Taxonomy,
         pairs: &[CandidatePair],
     ) -> ServeSnapshot {
-        let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
-        ServeSnapshot::build_with_quant(version, vocab, detector, quant, taxonomy, pairs)
+        ServeSnapshot::build_for(
+            version,
+            &ServeModel::new(vocab, detector),
+            taxonomy,
+            pairs,
+            DEFAULT_RESP_CACHE_CAP,
+        )
     }
 
-    /// [`ServeSnapshot::build`] with a pre-quantized tier, so the server
-    /// quantizes once at startup and every rebuild shares the same
-    /// [`QuantizedDetector`] `Arc` (the detector never changes).
-    pub fn build_with_quant(
+    /// [`ServeSnapshot::build`] on an existing model, so every rebuild
+    /// between two promotions shares one quantized tier and one
+    /// generation, with a rendered-tail cache of `resp_cache_cap`
+    /// entries (0 = off).
+    pub fn build_for(
         version: u64,
-        vocab: Arc<Vocabulary>,
-        detector: Arc<HypoDetector>,
-        quant: Arc<QuantizedDetector>,
+        model: &ServeModel,
         taxonomy: Taxonomy,
         pairs: &[CandidatePair],
+        resp_cache_cap: usize,
     ) -> ServeSnapshot {
+        let ServeModel {
+            generation,
+            vocab,
+            detector,
+            quant,
+        } = model.clone();
         let feat_dim = detector
             .structural
             .as_ref()
@@ -133,6 +195,7 @@ impl ServeSnapshot {
 
         ServeSnapshot {
             version,
+            generation,
             vocab,
             detector,
             quant,
@@ -142,7 +205,13 @@ impl ServeSnapshot {
             feat_index,
             feat_data,
             feat_dim,
+            responses: ResponseCache::new(resp_cache_cap),
         }
+    }
+
+    /// This version's rendered-tail cache.
+    pub fn responses(&self) -> &ResponseCache<TailKey> {
+        &self.responses
     }
 
     /// The precomputed structural feature row of a mined candidate pair,
@@ -385,5 +454,26 @@ mod tests {
             reader.current().eligible(ConceptId(0), 8),
             vec![ConceptId(2)]
         );
+    }
+
+    #[test]
+    fn versions_of_one_model_share_its_generation() {
+        let a = tiny_snapshot(0, &[pair(0, 1, 3)]);
+        let b = tiny_snapshot(0, &[pair(0, 1, 3)]);
+        assert_ne!(a.generation, b.generation, "each build is a new model");
+        let model = ServeModel {
+            generation: a.generation,
+            vocab: Arc::clone(&a.vocab),
+            detector: Arc::clone(&a.detector),
+            quant: Arc::clone(&a.quant),
+        };
+        let next = ServeSnapshot::build_for(1, &model, a.taxonomy.clone(), &[pair(0, 2, 3)], 4);
+        assert_eq!(next.generation, a.generation);
+        assert!(Arc::ptr_eq(&next.quant, &a.quant));
+        // The rendered tails are the version's own.
+        let key = (Tier::F32, ConceptId(0), 8);
+        a.responses().insert(key, Arc::from("tail"));
+        assert_eq!(a.responses().get(&key).as_deref(), Some("tail"));
+        assert_eq!(next.responses().get(&key), None);
     }
 }

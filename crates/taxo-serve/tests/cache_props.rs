@@ -4,11 +4,12 @@
 //! The cache's contract is *correctness-transparent lossiness*: an entry
 //! may vanish under capacity pressure, but a **hit** must always return
 //! exactly what was last inserted under that exact
-//! `(version, tier, query, item)` key — bit-for-bit, never a neighbor's
-//! value, never a stale version's. And the slab-recycling eviction path
-//! must respect capacity: residency never exceeds the rounded-up bound,
-//! and with fewer distinct keys than one shard's capacity no eviction
-//! can ever happen, making the cache *fully* equivalent to the oracle.
+//! `(generation, tier, query, item)` key — bit-for-bit, never a
+//! neighbor's value, never a retired generation's. And the
+//! slab-recycling eviction path must respect capacity: residency never
+//! exceeds the exact capacity, capacity 0 never hits, and with fewer
+//! distinct keys than the smallest shard's capacity no eviction can
+//! ever happen, making the cache *fully* equivalent to the oracle.
 
 use proptest::__rand::rngs::StdRng;
 use proptest::__rand::RngExt;
@@ -17,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use taxo_core::ConceptId;
 use taxo_serve::protocol::Tier;
-use taxo_serve::{ResponseCache, ScoreCache, ScoreKey};
+use taxo_serve::{ResponseCache, ScoreCache, ScoreKey, TailKey};
 
 const SHARDS: usize = 16;
 
@@ -29,25 +30,25 @@ enum Op {
     Get(ScoreKey),
 }
 
-fn arb_key(rng: &mut StdRng, versions: u64, concepts: u32) -> ScoreKey {
+fn arb_key(rng: &mut StdRng, generations: u64, concepts: u32) -> ScoreKey {
     let tier = if rng.random_range(0..2u32) == 0 {
         Tier::F32
     } else {
         Tier::Int8
     };
     (
-        rng.random_range(0..versions),
+        rng.random_range(0..generations),
         tier,
         ConceptId(rng.random_range(0..concepts)),
         ConceptId(rng.random_range(0..concepts)),
     )
 }
 
-/// A random op sequence over `versions × tiers × concepts²` keys.
+/// A random op sequence over `generations × tiers × concepts²` keys.
 #[derive(Debug, Clone, Copy)]
 struct ArbOps {
     len: usize,
-    versions: u64,
+    generations: u64,
     concepts: u32,
 }
 
@@ -57,7 +58,7 @@ impl Strategy for ArbOps {
     fn generate(&self, rng: &mut StdRng) -> Vec<Op> {
         (0..self.len)
             .map(|_| {
-                let key = arb_key(rng, self.versions, self.concepts);
+                let key = arb_key(rng, self.generations, self.concepts);
                 if rng.random_range(0..3u32) == 0 {
                     Op::Get(key)
                 } else {
@@ -72,17 +73,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Under arbitrary pressure: a hit is always the oracle's value for
-    /// that exact key (bit-identical — so stale versions and foreign
-    /// tiers can never leak into a response), a just-inserted key always
-    /// hits, and residency never exceeds the rounded-up capacity.
+    /// that exact key (bit-identical — so retired generations and
+    /// foreign tiers can never leak into a response), a just-inserted
+    /// key always hits, and residency never exceeds the capacity.
     #[test]
     fn hits_match_the_oracle_and_capacity_holds(
-        ops in ArbOps { len: 300, versions: 3, concepts: 5 },
+        ops in ArbOps { len: 300, generations: 3, concepts: 5 },
         capacity in 1usize..96,
     ) {
         let cache = ScoreCache::new(capacity);
         let mut oracle: HashMap<ScoreKey, u32> = HashMap::new();
-        let bound = capacity.div_ceil(SHARDS).max(1) * SHARDS;
+        let bound = capacity;
         for op in ops {
             match op {
                 Op::Insert(key, value) => {
@@ -115,16 +116,55 @@ proptest! {
         }
     }
 
-    /// With at most `shard_cap` distinct keys, not even a fully
-    /// colliding shard can evict: the slab only recycles when full, so
-    /// the cache must be *totally* equivalent to the oracle — every key
-    /// resident, every value exact, residency equal.
+    /// Capacity is exact for every size, 0 included: residency never
+    /// exceeds `capacity` whatever the pressure, a full cache stays full,
+    /// and a cache of capacity 0 is off — it never hits.
+    #[test]
+    fn capacity_is_exact_and_zero_is_off(
+        ops in ArbOps { len: 300, generations: 4, concepts: 6 },
+        capacity in 0usize..40,
+    ) {
+        let cache = ScoreCache::new(capacity);
+        for op in ops {
+            match op {
+                Op::Insert(key, value) => cache.insert(key, value),
+                Op::Get(key) => {
+                    let hit = cache.get(&key);
+                    if capacity == 0 {
+                        prop_assert_eq!(hit, None, "capacity 0 must never hit");
+                    }
+                }
+            }
+            prop_assert!(
+                cache.len() <= capacity,
+                "residency {} exceeds the capacity {}",
+                cache.len(),
+                capacity
+            );
+        }
+        let tails: ResponseCache<TailKey> = ResponseCache::new(capacity);
+        for q in 0..64u32 {
+            let key = (Tier::F32, ConceptId(q), 8);
+            tails.insert(key, Arc::from("t"));
+            if capacity == 0 {
+                prop_assert_eq!(tails.get(&key), None, "capacity 0 must never hit");
+            }
+            prop_assert!(tails.len() <= capacity);
+        }
+    }
+
+    /// With at most the smallest shard's capacity in distinct keys, not
+    /// even a fully colliding shard can evict: the slab only recycles
+    /// when full, so the cache must be *totally* equivalent to the
+    /// oracle — every key resident, every value exact, residency equal.
     #[test]
     fn below_one_shard_of_pressure_the_cache_is_the_oracle(
-        seed_ops in ArbOps { len: 400, versions: 2, concepts: 3 },
+        seed_ops in ArbOps { len: 400, generations: 2, concepts: 3 },
         capacity in 16usize..128,
     ) {
-        let shard_cap = capacity.div_ceil(SHARDS).max(1);
+        // Exact capacities give every shard `capacity / 16` slots, the
+        // first `capacity % 16` shards one more.
+        let shard_cap = capacity / SHARDS;
         // Shrink the op stream's key universe to `shard_cap` distinct
         // keys by indexing into a fixed enumeration.
         let universe: Vec<ScoreKey> = (0..shard_cap as u32)
@@ -164,51 +204,51 @@ proptest! {
         prop_assert_eq!(cache.len(), oracle.len());
     }
 
-    /// Snapshot versions and tiers partition the key space: the same
+    /// Detector generations and tiers partition the key space: the same
     /// pair inserted under three identities stays three independent
     /// entries.
     #[test]
-    fn versions_and_tiers_partition_the_key_space(
+    fn generations_and_tiers_partition_the_key_space(
         q in 0u32..1000,
         i in 0u32..1000,
-        v in 0u64..1_000_000,
+        g in 0u64..1_000_000,
         bits_a in 0u32..0x7f7f_ffff,
         bits_b in 0u32..0x7f7f_ffff,
         bits_c in 0u32..0x7f7f_ffff,
     ) {
         let cache = ScoreCache::new(1024);
-        let old = (v, Tier::F32, ConceptId(q), ConceptId(i));
-        let new = (v + 1, Tier::F32, ConceptId(q), ConceptId(i));
-        let int8 = (v, Tier::Int8, ConceptId(q), ConceptId(i));
+        let old = (g, Tier::F32, ConceptId(q), ConceptId(i));
+        let new = (g + 1, Tier::F32, ConceptId(q), ConceptId(i));
+        let int8 = (g, Tier::Int8, ConceptId(q), ConceptId(i));
         cache.insert(old, f32::from_bits(bits_a));
         cache.insert(new, f32::from_bits(bits_b));
         cache.insert(int8, f32::from_bits(bits_c));
         prop_assert_eq!(cache.get(&old).map(f32::to_bits), Some(bits_a));
         prop_assert_eq!(cache.get(&new).map(f32::to_bits), Some(bits_b));
         prop_assert_eq!(cache.get(&int8).map(f32::to_bits), Some(bits_c));
-        prop_assert_eq!(cache.get(&(v + 2, Tier::F32, ConceptId(q), ConceptId(i))), None);
+        prop_assert_eq!(cache.get(&(g + 2, Tier::F32, ConceptId(q), ConceptId(i))), None);
     }
 
     /// The rendered-response cache shares the shard/slab machinery; its
-    /// contract is the same last-write-wins exactness over
-    /// `(version, tier, query, k)`.
+    /// contract is the same last-write-wins exactness over a snapshot's
+    /// `(tier, query, k)`.
     #[test]
     fn response_cache_hits_match_their_oracle(
-        ops in ArbOps { len: 200, versions: 3, concepts: 4 },
+        ops in ArbOps { len: 200, generations: 3, concepts: 4 },
         capacity in 1usize..64,
     ) {
-        let cache = ResponseCache::new(capacity);
-        let mut oracle: HashMap<(u64, Tier, ConceptId, u64), String> = HashMap::new();
+        let cache: ResponseCache<TailKey> = ResponseCache::new(capacity);
+        let mut oracle: HashMap<TailKey, String> = HashMap::new();
         for op in ops {
             match op {
-                Op::Insert((v, tier, q, item), value) => {
-                    let key = (v, tier, q, u64::from(item.0));
+                Op::Insert((g, tier, q, item), value) => {
+                    let key = (tier, q, u64::from(item.0) + 16 * g);
                     let tail = format!("\"score\":{value}}}");
                     cache.insert(key, Arc::from(tail.as_str()));
                     oracle.insert(key, tail);
                 }
-                Op::Get((v, tier, q, item)) => {
-                    let key = (v, tier, q, u64::from(item.0));
+                Op::Get((g, tier, q, item)) => {
+                    let key = (tier, q, u64::from(item.0) + 16 * g);
                     if let Some(hit) = cache.get(&key) {
                         prop_assert_eq!(
                             Some(&*hit),
